@@ -74,18 +74,35 @@ bool RunJobWithHeartbeats(int fd, int64_t job_id, const CampaignJob& job,
   return connection_ok;
 }
 
-// Blocks until a full line arrives (draining in WaitReadable-sized slices).
-// Returns false on EOF/error/overlong.
-bool ReadLine(int fd, LineReader* reader, std::string* line) {
+enum class LineWait { kLine, kTimeout, kClosed };
+
+// Waits up to `timeout_ms` for a full line (draining in WaitReadable-sized slices).
+// kClosed on EOF/error/overlong once no buffered line is left.
+LineWait WaitLine(int fd, LineReader* reader, int timeout_ms, std::string* line) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(timeout_ms);
   for (;;) {
     if (reader->NextLine(line)) {
-      return true;
+      return LineWait::kLine;
     }
-    if (!WaitReadable(fd, 1000)) {
-      continue;  // Idle is fine; the coordinator owns all deadlines.
+    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+        deadline - std::chrono::steady_clock::now());
+    if (left.count() <= 0 || !WaitReadable(fd, static_cast<int>(left.count()))) {
+      return LineWait::kTimeout;
     }
     if (!reader->Drain(fd)) {
-      return reader->NextLine(line);  // Surface any final buffered line.
+      // Surface any final buffered line.
+      return reader->NextLine(line) ? LineWait::kLine : LineWait::kClosed;
+    }
+  }
+}
+
+// Blocks until a full line arrives. Returns false on EOF/error/overlong.
+bool ReadLine(int fd, LineReader* reader, std::string* line) {
+  for (;;) {
+    const LineWait got = WaitLine(fd, reader, 1000, line);
+    if (got != LineWait::kTimeout) {  // Idle is fine; the coordinator owns deadlines.
+      return got == LineWait::kLine;
     }
   }
 }
@@ -105,16 +122,20 @@ SessionEnd RunSession(int fd, const WorkerConfig& config, FaultInjector* faults,
   }
 
   LineReader reader;
+  std::string line;
+  bool have_reply = false;  // A line that arrived while backing off answers the request.
   for (;;) {
-    Message request;
-    request.type = "request";
-    if (!SendLine(fd, FormatMessage(request))) {
-      return SessionEnd::kDisconnected;
+    if (!have_reply) {
+      Message request;
+      request.type = "request";
+      if (!SendLine(fd, FormatMessage(request))) {
+        return SessionEnd::kDisconnected;
+      }
+      if (!ReadLine(fd, &reader, &line)) {
+        return SessionEnd::kDisconnected;
+      }
     }
-    std::string line;
-    if (!ReadLine(fd, &reader, &line)) {
-      return SessionEnd::kDisconnected;
-    }
+    have_reply = false;
     Message msg;
     if (!ParseMessage(line, &msg)) {
       return SessionEnd::kDisconnected;  // Treat protocol damage as a dead peer.
@@ -123,8 +144,13 @@ SessionEnd RunSession(int fd, const WorkerConfig& config, FaultInjector* faults,
       return SessionEnd::kShutdown;
     }
     if (msg.type == "wait") {
-      std::this_thread::sleep_for(
-          std::chrono::milliseconds(msg.ms > 0 ? msg.ms : 50));
+      // Back off with the socket watched, not asleep: the courtesy shutdown that ends
+      // a campaign must end this worker now, not after the backoff.
+      const LineWait got = WaitLine(fd, &reader, msg.ms > 0 ? msg.ms : 50, &line);
+      if (got == LineWait::kClosed) {
+        return SessionEnd::kDisconnected;
+      }
+      have_reply = got == LineWait::kLine;
       continue;
     }
     if (msg.type != "job") {

@@ -13,16 +13,11 @@ TimeBasedRegulator::TimeBasedRegulator(sim::Simulator* sim, phy::MacTimings timi
 void TimeBasedRegulator::OnAssociate(NodeId client) { GetOrAssociate(client); }
 
 TimeBasedRegulator::ClientState& TimeBasedRegulator::GetOrAssociate(NodeId client) {
-  TBF_CHECK(client >= 0) << "TBR regulates per-client traffic; packets need a client";
-  if (static_cast<size_t>(client) >= slot_of_.size()) {
-    slot_of_.resize(static_cast<size_t>(client) + 1, -1);
-  }
-  int32_t slot = slot_of_[static_cast<size_t>(client)];
-  if (slot >= 0) {
+  bool created = false;
+  const int32_t slot = slots_.GetOrAdd(client, &created);
+  if (!created) {
     return clients_[static_cast<size_t>(slot)];
   }
-  slot = static_cast<int32_t>(clients_.size());
-  slot_of_[static_cast<size_t>(client)] = slot;
   clients_.emplace_back();
   ClientState& st = clients_.back();
   st.tokens = config_.initial_tokens;
@@ -212,7 +207,7 @@ TimeNs TimeBasedRegulator::EstimateOccupancy(int mac_frame_bytes, phy::WifiRate 
 }
 
 void TimeBasedRegulator::Charge(NodeId client, TimeNs occupancy) {
-  const int32_t slot = SlotOf(client);
+  const int32_t slot = slots_.SlotOf(client);
   if (slot < 0) {
     return;
   }
@@ -418,17 +413,17 @@ void TimeBasedRegulator::MaybePauseClient(const ClientState& st) {
 }
 
 TimeNs TimeBasedRegulator::tokens(NodeId client) const {
-  const int32_t slot = SlotOf(client);
+  const int32_t slot = slots_.SlotOf(client);
   return slot < 0 ? 0 : clients_[static_cast<size_t>(slot)].tokens;
 }
 
 double TimeBasedRegulator::rate(NodeId client) const {
-  const int32_t slot = SlotOf(client);
+  const int32_t slot = slots_.SlotOf(client);
   return slot < 0 ? 0.0 : clients_[static_cast<size_t>(slot)].rate;
 }
 
 TimeNs TimeBasedRegulator::actual_usage(NodeId client) const {
-  const int32_t slot = SlotOf(client);
+  const int32_t slot = slots_.SlotOf(client);
   return slot < 0 ? 0 : clients_[static_cast<size_t>(slot)].actual;
 }
 

@@ -210,24 +210,17 @@ class TimeBasedRegulator : public ap::Qdisc {
     }
     return Eligible(st);
   }
-  // Dense slot lookup (clients never disassociate); -1 when the client is unknown.
-  int32_t SlotOf(NodeId client) const {
-    return client >= 0 && static_cast<size_t>(client) < slot_of_.size()
-               ? slot_of_[static_cast<size_t>(client)]
-               : -1;
-  }
-
   sim::Simulator* sim_;
   phy::MacTimings timings_;
   TbrConfig config_;
   ClientPauseFn client_pause_;
 
   // Client state packed in association order (which is the round-robin order), indexed
-  // through slot_of_: the per-frame Dequeue()/HasEligible() walks are linear scans over
-  // contiguous state, and per-completion Charge() is one indexed load - no tree walk
-  // anywhere on the per-packet path.
+  // through slots_ (clients never disassociate): the per-frame Dequeue()/HasEligible()
+  // walks are linear scans over contiguous state, and per-completion Charge() is one
+  // indexed load - no tree walk anywhere on the per-packet path.
   std::vector<ClientState> clients_;
-  std::vector<int32_t> slot_of_;  // NodeId -> clients_ slot; -1 = not associated.
+  ap::ClientSlotMap slots_;
   // ADJUSTRATEEVENT classification scratch, reused so the 500 ms timer allocates
   // nothing once warm.
   std::vector<ClientState*> adjust_under_;

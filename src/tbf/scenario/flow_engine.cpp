@@ -32,7 +32,7 @@ TimeNs FlowEngine::InitFirstTask(TimeNs flow_start) {
 
 void FlowEngine::OnDelivered(int64_t bytes) {
   delivered_bytes += bytes;
-  stats->RecordBytes(flow_id, sim->Now(), bytes);
+  rx_stats->RecordBytes(flow_id, rx_sim->Now(), bytes);
   // UDP tasks have no acks; they complete when the sink has delivered the task's
   // payload. (A datagram lost beyond the MAC's retries stalls the task - finite UDP
   // tasks are meant for configurations below the loss cliff.)
@@ -93,12 +93,75 @@ void FlowEngine::QueueNextTask(int64_t bytes, TimeNs delay) {
   }
 }
 
-void AccumulateFlowResult(const FlowEngine& flow, int64_t delivered_delta,
-                          double window_sec, const stats::StatsEngine& meters,
+void WireFlow(FlowEngine* flow, const FlowSide& cell, const FlowSide& wired) {
+  const FlowSpec& spec = flow->spec;
+  const bool uplink = spec.direction == Direction::kUplink;
+  const FlowSide& tx = uplink ? cell : wired;
+  const FlowSide& rx = uplink ? wired : cell;
+  const FlowSide& home = spec.transport == Transport::kTcp ? tx : rx;
+  flow->sim = home.sim;
+  flow->rng = home.rng;
+  flow->stats = home.stats;
+  flow->rx_sim = rx.sim;
+  flow->rx_stats = rx.stats;
+  // Registration is idempotent, so the sides may share one engine.
+  home.stats->RegisterFlow(flow->flow_id);
+  cell.stats->RegisterFlow(flow->flow_id);
+  rx.stats->RegisterFlow(flow->flow_id);
+
+  net::FlowAddress addr;
+  addr.flow_id = flow->flow_id;
+  addr.wlan_client = spec.client;
+  addr.sender = uplink ? spec.client : kServerId;
+  addr.receiver = uplink ? kServerId : spec.client;
+
+  auto deliver = [flow](int64_t bytes) { flow->OnDelivered(bytes); };
+  const TimeNs flow_start = flow->InitFirstTask(spec.start);
+  const int64_t first_task = flow->task_target;
+
+  if (spec.transport == Transport::kTcp) {
+    net::TcpConfig tcp;
+    tcp.mss = spec.packet_bytes - net::kIpTcpHeaderBytes;
+    flow->tcp_sender =
+        std::make_unique<net::TcpSender>(tx.sim, tx.pool, tcp, addr, tx.send);
+    flow->tcp_receiver =
+        std::make_unique<net::TcpReceiver>(rx.sim, rx.pool, tcp, addr, rx.send, deliver);
+    if (first_task > 0) {
+      flow->tcp_sender->SetTaskBytes(first_task);
+      // TCP tasks complete when the final byte is cumulatively acked.
+      flow->tcp_sender->SetOnTaskComplete([flow] { flow->OnTaskComplete(); });
+    }
+    if (spec.app_limit_bps > 0) {
+      flow->tcp_sender->SetAppLimitBps(spec.app_limit_bps);
+    }
+    flow->tcp_sender->SetRttSampleFn([flow](TimeNs sample) {
+      flow->stats->RecordRtt(flow->flow_id, flow->sim->Now(), sample);
+    });
+    tx.demux->Register(addr.sender, addr.flow_id, flow->tcp_sender.get());
+    rx.demux->Register(addr.receiver, addr.flow_id, flow->tcp_receiver.get());
+    flow->actual_start = flow_start;
+    flow->tcp_sender->Start(flow->actual_start);
+  } else {
+    // The source packetizes finite tasks itself (ceiling division with a trimmed
+    // final datagram), so exactly first_task payload bytes hit the wire.
+    flow->udp_source =
+        std::make_unique<net::UdpSource>(tx.sim, tx.pool, addr, tx.send, spec.udp_rate,
+                                         spec.packet_bytes, first_task, tx.rng);
+    flow->udp_sink = std::make_unique<net::UdpSink>(deliver);
+    rx.demux->Register(addr.receiver, addr.flow_id, flow->udp_sink.get());
+    // Stagger CBR starts so synchronized sources do not phase-lock on shared queues;
+    // flow ids are campus-global, so a campus staggers exactly like a single cell.
+    flow->actual_start = flow_start + flow->flow_id * Us(97);
+    flow->udp_source->Start(flow->actual_start);
+  }
+  flow->task_started_at = flow->actual_start;  // The first task transfers from the start.
+}
+
+void AccumulateFlowResult(const FlowEngine& flow, double window_sec,
                           const stats::StatsEngine& queue_meters, Results* results,
                           double* sum_task_sec, int64_t* table1_tasks) {
   static const stats::FlowStats kNoStats = stats::FlowStats();
-  const stats::FlowStats* fs = meters.flow(flow.flow_id);
+  const stats::FlowStats* fs = flow.stats->flow(flow.flow_id);
   const stats::FlowStats* qs = queue_meters.flow(flow.flow_id);
   if (fs == nullptr) {
     fs = &kNoStats;
@@ -111,7 +174,7 @@ void AccumulateFlowResult(const FlowEngine& flow, int64_t delivered_delta,
   fr.flow_id = flow.flow_id;
   fr.client = flow.spec.client;
   fr.tcp = flow.spec.transport == Transport::kTcp;
-  fr.bytes_delivered = delivered_delta;
+  fr.bytes_delivered = flow.delivered_bytes - flow.window_snapshot;
   fr.goodput_bps = static_cast<double>(fr.bytes_delivered) * 8.0 / window_sec;
   fr.exact = fs->retained && qs->retained;
   // Task completions are reported relative to the flow's actual start (spec start +

@@ -4,19 +4,23 @@
 // finite-task bookkeeping that restarts transfers (task sequences, on/off draws, trace
 // replays). Latency samples and delivered bytes are recorded through the owning shard's
 // stats::StatsEngine (see docs/metrology.md), never stored here - the engine struct
-// stays O(1) per flow. Extracted from scenario::Wlan so multi-shard builders
-// (shard::CampusSim) drive the exact same task-chaining state machine: the engine always
-// lives in exactly one shard - the one whose Simulator fires its callbacks - so none of
-// its state needs synchronization. In a sharded campus the engine sits on the flow's
-// *initiating* side (TCP: the sender's shard, where task completion is observed via the
-// final cumulative ack; UDP: the sink's shard, where delivery is counted) and the far
-// endpoint is owned separately by the opposite shard.
+// stays O(1) per flow. WireFlow is the one place a flow's endpoints are placed and
+// wired, for scenario::Wlan and shard::CampusSim alike (both reach it through
+// scenario::Cell): it is handed the flow's cell side and wired side, which are one
+// shard in a Wlan and two in a sharded campus. The engine's task state always lives in
+// exactly one shard - the one whose Simulator fires its callbacks - so none of it
+// needs synchronization: TCP engines sit with the sender, where task completion is
+// observed via the final cumulative ack; UDP engines with the sink, where delivery is
+// counted. The far endpoint runs in the opposite side's Simulator.
 #ifndef TBF_SCENARIO_FLOW_ENGINE_H_
 #define TBF_SCENARIO_FLOW_ENGINE_H_
 
+#include <functional>
 #include <memory>
 #include <vector>
 
+#include "tbf/net/demux.h"
+#include "tbf/net/packet.h"
 #include "tbf/net/tcp.h"
 #include "tbf/net/udp.h"
 #include "tbf/scenario/results.h"
@@ -36,21 +40,25 @@ struct FlowEngine {
   TimeNs actual_start = 0;
 
   // The simulator, rng and stats engine of the shard this engine lives in (single-cell
-  // scenarios have exactly one of each). Set by the builder before any task runs; the
-  // flow must be registered with `stats` before its first sample.
+  // scenarios have exactly one of each). Set by WireFlow before any task runs.
   sim::Simulator* sim = nullptr;
   sim::Rng* rng = nullptr;
   stats::StatsEngine* stats = nullptr;
+  // The receiver's shard, where OnDelivered runs and records. It differs from the
+  // engine's shard only for a sharded campus TCP flow, whose engine sits with the sender.
+  sim::Simulator* rx_sim = nullptr;
+  stats::StatsEngine* rx_stats = nullptr;
 
-  // Endpoints this engine's shard owns. In a single cell all of the flow's endpoints
-  // live here; in a sharded campus only the engine-side one is non-null and the far
-  // endpoint belongs to the opposite shard.
+  // The flow's endpoints: one sender and one receiver, each running in its side's
+  // Simulator (in a sharded campus the far one belongs to the opposite shard).
   std::unique_ptr<net::TcpSender> tcp_sender;
   std::unique_ptr<net::TcpReceiver> tcp_receiver;
   std::unique_ptr<net::UdpSource> udp_source;
   std::unique_ptr<net::UdpSink> udp_sink;
 
-  int64_t delivered_bytes = 0;   // Total payload delivered (from flow start).
+  // Total payload delivered (from flow start). Written only by the receiver's shard and
+  // read by other shards only at barriers.
+  int64_t delivered_bytes = 0;
   int64_t window_snapshot = 0;   // Delivered bytes at warmup.
 
   // Finite-task bookkeeping. `task_target` is the cumulative payload target of the
@@ -73,7 +81,8 @@ struct FlowEngine {
   // and tasks_started.
   TimeNs InitFirstTask(TimeNs flow_start);
 
-  // Delivery-side accounting; UDP finite tasks complete here (no acks).
+  // Delivery-side accounting, on the receiver's shard; UDP finite tasks complete here
+  // (no acks).
   void OnDelivered(int64_t bytes);
 
   // Task chaining: records the task that just finished and, for sequence, on/off and
@@ -82,18 +91,31 @@ struct FlowEngine {
   void QueueNextTask(int64_t bytes, TimeNs delay);
 };
 
+// One side of a flow's path: the shard its endpoints on that side run in, and how a
+// packet leaves them - into the client station's uplink queue on the cell side, onto
+// the backbone toward the AP on the wired side.
+struct FlowSide {
+  sim::Simulator* sim = nullptr;
+  net::PacketPool* pool = nullptr;
+  net::Demux* demux = nullptr;
+  sim::Rng* rng = nullptr;
+  stats::StatsEngine* stats = nullptr;
+  std::function<void(net::PacketPtr)> send;
+};
+
+// Places `flow`'s endpoints (flow->spec and flow->flow_id set) on its `cell` and
+// `wired` sides, registers the flow wherever a shard records for it (the engine's
+// shard, the cell - the AP queue-delay tap always fires there - and the receiver's),
+// and starts it. `flow` must outlive every endpoint callback.
+void WireFlow(FlowEngine* flow, const FlowSide& cell, const FlowSide& wired);
+
 // Folds one engine's measurement-window readout into `results`: the FlowResult, the
 // merged cell-wide sketches (retained flows only under sampled retention), per-client
 // goodput, and the Table 1 task aggregates accumulated via `sum_task_sec`/
-// `table1_tasks` (the caller divides at the end). `delivered_delta` is the payload
-// delivered inside the window - the caller supplies it because in a sharded campus the
-// receiver-side counter may live in the opposite shard from the engine. `meters` is
-// the stats engine of the shard the flow engine lives in (task + RTT meters);
-// `queue_meters` is the stats engine of the flow's *cell* shard, where the AP qdisc
-// tap always records - for downlink campus flows these differ. Single-cell callers
-// pass the same engine twice.
-void AccumulateFlowResult(const FlowEngine& flow, int64_t delivered_delta,
-                          double window_sec, const stats::StatsEngine& meters,
+// `table1_tasks` (the caller divides at the end). Task and RTT meters come from the
+// engine's own stats engine; `queue_meters` is the stats engine of the flow's *cell*,
+// where the AP qdisc tap always records - for downlink campus flows the two differ.
+void AccumulateFlowResult(const FlowEngine& flow, double window_sec,
                           const stats::StatsEngine& queue_meters, Results* results,
                           double* sum_task_sec, int64_t* table1_tasks);
 

@@ -8,7 +8,6 @@
 #ifndef TBF_SCENARIO_WLAN_H_
 #define TBF_SCENARIO_WLAN_H_
 
-#include <map>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -136,7 +135,7 @@ class ScenarioError : public std::runtime_error {
 
 struct ScenarioConfig {
   QdiscKind qdisc = QdiscKind::kFifo;
-  core::TbrConfig tbr;          // Used when qdisc == kTbr.
+  core::TbrConfig tbr;          // Used by every TBR kind (IsTbrKind).
   size_t fifo_limit = 110;      // Stock kernel interface queue (Exp-Normal).
   size_t per_queue_limit = 50;  // RR / DRR per-client queues.
   phy::MacTimings timings = phy::MixedModeTimings();
@@ -164,13 +163,13 @@ std::string ValidateScenario(const ScenarioConfig& config,
 
 // Builds the AP transmit qdisc a config asks for. `rates` feeds the burst-sizing
 // baseline (kOarBurst); when the config selects TBR, `*tbr_out` receives the live
-// regulator for pre-run configuration (weights, client-agent wiring). Shared by the
-// single-cell builder and the sharded campus builder (one qdisc per BSS shard).
+// regulator for pre-run configuration (weights, client-agent wiring). Called by
+// scenario::Cell, once per BSS.
 std::unique_ptr<ap::Qdisc> MakeQdisc(const ScenarioConfig& config, sim::Simulator* sim,
                                      rateadapt::CompositeRateController* rates,
                                      core::TimeBasedRegulator** tbr_out);
 
-struct FlowEngine;
+class Cell;
 
 class Wlan {
  public:
@@ -205,13 +204,13 @@ class Wlan {
   Results Run();
 
   // Post-run (or mid-run via callbacks) introspection.
-  core::TimeBasedRegulator* tbr() { return tbr_; }
-  mac::Medium* medium() { return medium_.get(); }
+  core::TimeBasedRegulator* tbr();
+  mac::Medium* medium();
   sim::Simulator& simulator() { return sim_; }
   net::PacketPool& packet_pool() { return packet_pool_; }
   net::WirelessHost* host(NodeId id);
   // The run's metrology (complete after Run(); see docs/metrology.md).
-  const stats::StatsEngine& stats_engine() const { return stats_; }
+  const stats::StatsEngine& stats_engine() const;
 
  private:
   void Build();
@@ -224,22 +223,12 @@ class Wlan {
   // declared right after it so it outlives every component that can hold packets
   // (members below are destroyed first); each scenario owns its own pool, so sweep
   // workers never share one (TBF_SWEEP_THREADS stays race-free and bit-identical).
+  // The radio side is the shared scenario::Cell; the wired far end is Wlan's own.
   sim::Simulator sim_;
   net::PacketPool packet_pool_;
-  std::unique_ptr<sim::Rng> rng_;
-  std::unique_ptr<phy::FixedPerLink> fixed_loss_;
-  std::unique_ptr<phy::SnrLossModel> snr_loss_;
-  std::unique_ptr<phy::LossModel> loss_;  // Dispatches per client to the two above.
-  std::unique_ptr<mac::Medium> medium_;
-  std::unique_ptr<rateadapt::CompositeRateController> ap_rates_;
-  std::unique_ptr<ap::AccessPoint> ap_;
   std::unique_ptr<net::WiredLink> wired_;
-  std::unique_ptr<net::Demux> demux_;
+  std::unique_ptr<Cell> cell_;
   std::unique_ptr<net::WiredHost> server_;
-  std::map<NodeId, std::unique_ptr<net::WirelessHost>> hosts_;
-  std::vector<std::unique_ptr<FlowEngine>> flows_;
-  stats::StatsEngine stats_;  // Configured from config_.stats in Build().
-  core::TimeBasedRegulator* tbr_ = nullptr;
   bool built_ = false;
 };
 

@@ -3,12 +3,10 @@
 #include <algorithm>
 #include <condition_variable>
 #include <cstdlib>
-#include <functional>
-#include <map>
 #include <mutex>
 #include <thread>
 
-#include "tbf/scenario/flow_engine.h"
+#include "tbf/scenario/cell.h"
 #include "tbf/shard/mailbox.h"
 #include "tbf/shard/shard_link.h"
 #include "tbf/sweep/sweep_runner.h"
@@ -16,79 +14,35 @@
 
 namespace tbf::shard {
 
-using scenario::Direction;
-using scenario::FlowEngine;
-using scenario::FlowSpec;
-using scenario::StationSpec;
-using scenario::TrafficModel;
-using scenario::Transport;
-
-// One BSS shard: a complete single-cell stack (medium, DCF stations, AP + qdisc) with
-// its own Simulator, PacketPool and Rng. The pool is declared right after the
-// Simulator so it outlives every component that can hold packets, mirroring
-// scenario::Wlan's member order.
+// One BSS shard: its own Simulator and PacketPool, the BSS itself (the shared
+// scenario::Cell - the same builder scenario::Wlan uses, seeded seed + 1 + index and
+// with its AP uplink feeding `uplink`), and the cell end of the backbone. The pool is
+// declared right after the Simulator so it outlives every component that can hold
+// packets.
 struct CampusSim::CellShard {
-  size_t index = 0;
-  TimeNs link_delay = 0;  // One-way backbone latency of this cell's uplink/downlink.
-
   sim::Simulator sim;
   net::PacketPool pool;
-  std::unique_ptr<sim::Rng> rng;
-  std::unique_ptr<phy::FixedPerLink> fixed_loss;
-  std::unique_ptr<phy::SnrLossModel> snr_loss;
-  std::unique_ptr<phy::LossModel> loss;
-  std::unique_ptr<mac::Medium> medium;
-  std::unique_ptr<rateadapt::CompositeRateController> ap_rates;
-  std::unique_ptr<ap::AccessPoint> ap;
-  std::unique_ptr<net::Demux> demux;
-  std::map<NodeId, std::unique_ptr<net::WirelessHost>> hosts;
-  core::TimeBasedRegulator* tbr = nullptr;
-
   Mailbox to_core;                    // Written only by `uplink` during this cell's window.
   std::unique_ptr<ShardLink> uplink;  // Cell -> core backbone direction.
-
-  // This shard's metrology: queue-delay taps for the cell's flows plus the task/RTT
-  // meters of cell-side engines. Written only by the cell's thread during windows;
+  // The cell's stats engine is written only by the cell's thread during windows and
   // sealed into the campus engine by the coordinator at barriers.
-  stats::StatsEngine stats;
-
-  std::map<NodeId, TimeNs> airtime_at_warmup;
-  TimeNs busy_at_warmup = 0;
+  std::unique_ptr<scenario::Cell> cell;
 };
 
-// The wired core shard: owns the server side of every flow. There is no medium here -
-// just the transports, reached through the core demux, and one downlink ShardLink per
-// cell.
+// The wired core shard: runs the server end of every flow (the flows themselves are
+// owned by their cells). There is no medium here - just the transports, reached
+// through the core demux, and one downlink ShardLink per cell.
 struct CampusSim::CoreShard {
   sim::Simulator sim;
   net::PacketPool pool;
-  std::unique_ptr<sim::Rng> rng;
-  std::unique_ptr<net::Demux> demux;
+  sim::Rng rng;
+  net::Demux demux;
   std::vector<Mailbox> to_cell;  // [i] written only by downlinks[i] during core windows.
   std::vector<std::unique_ptr<ShardLink>> downlinks;
 
   // Core-side metrology: task/RTT meters of core-side engines plus delivered bytes of
   // flows whose receiver lives here. Same ownership rule as the cell engines.
   stats::StatsEngine stats;
-};
-
-// One campus flow. The FlowEngine lives in exactly one shard (TCP: the sender's, where
-// task completion is observed via the final cumulative ack; UDP: the sink's, where
-// delivery is counted); the far endpoint is owned here and lives in the opposite
-// shard's Simulator. `remote_delivered` is written by the receiver's shard during
-// windows and read by the coordinator only at barriers (warmup snapshot / readout).
-struct CampusSim::FlowState {
-  size_t bss = 0;
-  bool uplink = true;
-  bool tcp = true;
-  bool engine_in_cell = true;
-
-  FlowEngine engine;
-  std::unique_ptr<net::TcpReceiver> remote_tcp_receiver;
-  std::unique_ptr<net::UdpSource> remote_udp_source;
-
-  int64_t remote_delivered = 0;
-  int64_t remote_snapshot = 0;
 };
 
 // Persistent window pool: `threads` workers claim shard indices from a shared counter
@@ -213,220 +167,50 @@ void CampusSim::Build() {
   // The core seeds from the campus seed itself, cell i from seed + 1 + i, so every
   // shard draws an independent, reproducible stream.
   core_ = std::make_unique<CoreShard>();
-  core_->rng = std::make_unique<sim::Rng>(config_.cell.seed);
-  core_->demux = std::make_unique<net::Demux>();
+  core_->rng = sim::Rng(config_.cell.seed);
   core_->stats = stats::StatsEngine(config_.cell.stats);
   campus_stats_ = stats::StatsEngine(config_.cell.stats);
   core_->to_cell.resize(bss_.size());  // Sized once: Mailbox addresses must be stable.
 
   cells_.reserve(bss_.size());
   for (size_t i = 0; i < bss_.size(); ++i) {
-    BuildCell(i);
+    const TimeNs link_delay =
+        bss_[i].backbone_delay > 0 ? bss_[i].backbone_delay : config_.backbone_delay;
+    auto shard = std::make_unique<CellShard>();
+    shard->uplink =
+        std::make_unique<ShardLink>(&shard->sim, &shard->to_core, config_.backbone_rate,
+                                    link_delay, config_.backbone_queue_limit);
+    ShardLink* up = shard->uplink.get();
+    shard->cell = std::make_unique<scenario::Cell>(
+        &shard->sim, &shard->pool, config_.cell, bss_[i].stations,
+        config_.cell.seed + 1 + static_cast<uint64_t>(i),
+        [up](net::PacketPtr p) { up->Send(std::move(p)); });
+    cells_.push_back(std::move(shard));
     core_->downlinks.push_back(std::make_unique<ShardLink>(
-        &core_->sim, &core_->to_cell[i], config_.backbone_rate,
-        cells_[i]->link_delay, config_.backbone_queue_limit));
+        &core_->sim, &core_->to_cell[i], config_.backbone_rate, link_delay,
+        config_.backbone_queue_limit));
   }
 
-  BuildFlows();
+  // Flow ids are campus-wide, in declaration order. Each flow's server end runs in the
+  // core and reaches its cell through that cell's downlink.
+  int next_flow_id = 1;
+  for (size_t i = 0; i < bss_.size(); ++i) {
+    scenario::FlowSide core;
+    core.sim = &core_->sim;
+    core.pool = &core_->pool;
+    core.demux = &core_->demux;
+    core.rng = &core_->rng;
+    core.stats = &core_->stats;
+    ShardLink* down = core_->downlinks[i].get();
+    core.send = [down](net::PacketPtr p) { down->Send(std::move(p)); };
+    for (const scenario::FlowSpec& spec : bss_[i].flows) {
+      cells_[i]->cell->AddFlow(spec, next_flow_id++, core);
+    }
+  }
 
   threads_ = std::min(threads_, shard_count());
   if (threads_ > 1) {
     pool_ = std::make_unique<Pool>(this, threads_, cells_.size() + 1);
-  }
-}
-
-void CampusSim::BuildCell(size_t index) {
-  const scenario::BssSpec& bss = bss_[index];
-  const scenario::ScenarioConfig& cc = config_.cell;
-
-  auto cell = std::make_unique<CellShard>();
-  cell->index = index;
-  cell->stats = stats::StatsEngine(cc.stats);
-  cell->link_delay =
-      bss.backbone_delay > 0 ? bss.backbone_delay : config_.backbone_delay;
-  cell->rng = std::make_unique<sim::Rng>(cc.seed + 1 + static_cast<uint64_t>(index));
-  cell->fixed_loss = std::make_unique<phy::FixedPerLink>();
-  cell->snr_loss = std::make_unique<phy::SnrLossModel>();
-  cell->loss = std::make_unique<phy::DispatchLossModel>(cell->fixed_loss.get(),
-                                                        cell->snr_loss.get());
-  cell->medium = std::make_unique<mac::Medium>(&cell->sim, cc.timings, cell->loss.get(),
-                                               cell->rng.get());
-  cell->ap_rates = std::make_unique<rateadapt::CompositeRateController>();
-  cell->ap = std::make_unique<ap::AccessPoint>(
-      &cell->sim, cell->medium.get(),
-      scenario::MakeQdisc(cc, &cell->sim, cell->ap_rates.get(), &cell->tbr),
-      cell->ap_rates.get());
-  cell->demux = std::make_unique<net::Demux>();
-  cell->uplink = std::make_unique<ShardLink>(&cell->sim, &cell->to_core,
-                                             config_.backbone_rate, cell->link_delay,
-                                             config_.backbone_queue_limit);
-  ShardLink* up = cell->uplink.get();
-  cell->ap->SetUplinkForward([up](net::PacketPtr p) { up->Send(std::move(p)); });
-
-  for (const StationSpec& spec : bss.stations) {
-    if (spec.snr_db != 0.0) {
-      cell->snr_loss->SetClientSnr(spec.id, spec.snr_db);
-    } else if (spec.per > 0.0) {
-      cell->fixed_loss->SetClientPer(spec.id, spec.per);
-    }
-    std::unique_ptr<rateadapt::RateController> client_rates;
-    if (spec.arf) {
-      rateadapt::ArfConfig arf;
-      arf.initial_rate = spec.rate;
-      auto ctrl = std::make_unique<rateadapt::ArfController>(arf);
-      ctrl->Seed(kApId, spec.rate);
-      client_rates = std::move(ctrl);
-      cell->ap_rates->MarkAdaptive(spec.id, spec.rate);
-    } else {
-      client_rates = std::make_unique<rateadapt::FixedRateController>(spec.rate);
-      cell->ap_rates->PinRate(spec.id, spec.rate);
-    }
-    cell->hosts.emplace(spec.id, std::make_unique<net::WirelessHost>(
-                                     &cell->sim, cell->medium.get(), spec.id,
-                                     std::move(client_rates), cell->demux.get(),
-                                     spec.queue_limit));
-    cell->ap->Associate(spec.id);
-  }
-
-  // Same association-order invariance as the single-cell builder: the allowance
-  // divisor is this BSS's declared station count (all associated upfront above).
-  if (cell->tbr != nullptr && cc.tbr.contention_contenders == 0) {
-    cell->tbr->SetContentionContenders(static_cast<int>(bss.stations.size()));
-  }
-
-  if (cell->tbr != nullptr && cc.tbr.client_agent) {
-    CellShard* raw = cell.get();
-    cell->tbr->SetClientPauseFn([raw](NodeId client, TimeNs until) {
-      auto it = raw->hosts.find(client);
-      if (it != raw->hosts.end()) {
-        it->second->PauseUplinkUntil(until);
-      }
-    });
-  }
-
-  cells_.push_back(std::move(cell));
-}
-
-void CampusSim::BuildFlows() {
-  int next_flow_id = 1;
-  for (size_t b = 0; b < bss_.size(); ++b) {
-    CellShard* cell = cells_[b].get();
-    ShardLink* down = core_->downlinks[b].get();
-    for (const FlowSpec& spec : bss_[b].flows) {
-      auto fs = std::make_unique<FlowState>();
-      fs->bss = b;
-      fs->uplink = spec.direction == Direction::kUplink;
-      fs->tcp = spec.transport == Transport::kTcp;
-      // TCP engines sit with the sender (task completion = final cumulative ack);
-      // UDP engines sit with the sink (delivery is the completion signal).
-      fs->engine_in_cell = fs->tcp ? fs->uplink : !fs->uplink;
-
-      FlowEngine& rt = fs->engine;
-      rt.spec = spec;
-      rt.flow_id = next_flow_id++;
-      rt.sim = fs->engine_in_cell ? &cell->sim : &core_->sim;
-      rt.rng = fs->engine_in_cell ? cell->rng.get() : core_->rng.get();
-      rt.stats = fs->engine_in_cell ? &cell->stats : &core_->stats;
-      // A flow is registered wherever a shard records for it: its engine's shard
-      // (task + RTT meters), its cell (the AP queue-delay tap always fires there),
-      // and - for TCP - the receiver's shard (delivered bytes). Registration is
-      // idempotent, so overlaps are fine.
-      rt.stats->RegisterFlow(rt.flow_id);
-      cell->stats.RegisterFlow(rt.flow_id);
-
-      auto it = cell->hosts.find(spec.client);
-      TBF_CHECK(it != cell->hosts.end()) << "flow references unknown station "
-                                         << spec.client;
-      net::WirelessHost* host = it->second.get();
-
-      net::FlowAddress addr;
-      addr.flow_id = rt.flow_id;
-      addr.wlan_client = spec.client;
-      addr.sender = fs->uplink ? spec.client : kServerId;
-      addr.receiver = fs->uplink ? kServerId : spec.client;
-
-      // The two shard-edge exits: into the cell's air, or into this cell's downlink.
-      std::function<void(net::PacketPtr)> cell_out = [host](net::PacketPtr p) {
-        host->SendPacket(std::move(p));
-      };
-      std::function<void(net::PacketPtr)> core_out = [down](net::PacketPtr p) {
-        down->Send(std::move(p));
-      };
-
-      const TimeNs flow_start = rt.InitFirstTask(spec.start);
-      const int64_t first_task = rt.task_target;
-      FlowEngine* rt_ptr = &rt;
-      FlowState* fs_ptr = fs.get();
-
-      if (fs->tcp) {
-        net::TcpConfig tcp;
-        tcp.mss = spec.packet_bytes - net::kIpTcpHeaderBytes;
-        sim::Simulator* send_sim = fs->uplink ? &cell->sim : &core_->sim;
-        net::PacketPool* send_pool = fs->uplink ? &cell->pool : &core_->pool;
-        sim::Simulator* recv_sim = fs->uplink ? &core_->sim : &cell->sim;
-        net::PacketPool* recv_pool = fs->uplink ? &core_->pool : &cell->pool;
-        // Delivered bytes are counted where the receiver lives - the shard opposite
-        // the engine - and read by the coordinator only at barriers. The receiver
-        // shard's stats engine also counts them (driving its retention ranking).
-        stats::StatsEngine* recv_stats = fs->uplink ? &core_->stats : &cell->stats;
-        recv_stats->RegisterFlow(rt.flow_id);
-        const int fid = rt.flow_id;
-        auto deliver = [fs_ptr, recv_stats, recv_sim, fid](int64_t bytes) {
-          fs_ptr->remote_delivered += bytes;
-          recv_stats->RecordBytes(fid, recv_sim->Now(), bytes);
-        };
-        rt.tcp_sender = std::make_unique<net::TcpSender>(
-            send_sim, send_pool, tcp, addr, fs->uplink ? cell_out : core_out);
-        fs->remote_tcp_receiver = std::make_unique<net::TcpReceiver>(
-            recv_sim, recv_pool, tcp, addr, fs->uplink ? core_out : cell_out, deliver);
-        if (first_task > 0) {
-          rt.tcp_sender->SetTaskBytes(first_task);
-          rt.tcp_sender->SetOnTaskComplete([rt_ptr] { rt_ptr->OnTaskComplete(); });
-        }
-        if (spec.app_limit_bps > 0) {
-          rt.tcp_sender->SetAppLimitBps(spec.app_limit_bps);
-        }
-        rt.tcp_sender->SetRttSampleFn([rt_ptr](TimeNs sample) {
-          rt_ptr->stats->RecordRtt(rt_ptr->flow_id, rt_ptr->sim->Now(), sample);
-        });
-        net::Demux* send_demux = fs->uplink ? cell->demux.get() : core_->demux.get();
-        net::Demux* recv_demux = fs->uplink ? core_->demux.get() : cell->demux.get();
-        send_demux->Register(addr.sender, addr.flow_id, rt.tcp_sender.get());
-        recv_demux->Register(addr.receiver, addr.flow_id, fs->remote_tcp_receiver.get());
-        rt.actual_start = flow_start;
-        rt.tcp_sender->Start(rt.actual_start);
-      } else {
-        // UDP: the source sits on the sending side, the sink (with the engine) where
-        // delivery happens. Campus validation pinned the model to kBulk, so the engine
-        // never has to restart the remote source.
-        sim::Simulator* src_sim = fs->uplink ? &cell->sim : &core_->sim;
-        net::PacketPool* src_pool = fs->uplink ? &cell->pool : &core_->pool;
-        sim::Rng* src_rng = fs->uplink ? cell->rng.get() : core_->rng.get();
-        auto deliver = [rt_ptr](int64_t bytes) { rt_ptr->OnDelivered(bytes); };
-        fs->remote_udp_source = std::make_unique<net::UdpSource>(
-            src_sim, src_pool, addr, fs->uplink ? cell_out : core_out, spec.udp_rate,
-            spec.packet_bytes, first_task, src_rng);
-        rt.udp_sink = std::make_unique<net::UdpSink>(deliver);
-        net::Demux* recv_demux = fs->uplink ? core_->demux.get() : cell->demux.get();
-        recv_demux->Register(addr.receiver, addr.flow_id, rt.udp_sink.get());
-        // Stagger CBR starts so synchronized sources do not phase-lock; flow ids are
-        // campus-global, so the stagger pattern matches an equivalent single cell.
-        rt.actual_start = flow_start + rt.flow_id * Us(97);
-        fs->remote_udp_source->Start(rt.actual_start);
-      }
-      rt.task_started_at = rt.actual_start;
-      flows_.push_back(std::move(fs));
-    }
-  }
-
-  // AP qdisc residency taps: each cell's tap only ever fires for that cell's flows
-  // and records into that cell's own stats engine, so every engine keeps exactly one
-  // writing thread.
-  for (std::unique_ptr<CellShard>& cell : cells_) {
-    CellShard* raw = cell.get();
-    cell->ap->SetQueueDelayFn([raw](int flow_id, NodeId /*client*/, TimeNs delay) {
-      raw->stats.RecordQueueDelay(flow_id, raw->sim.Now(), delay);
-    });
   }
 }
 
@@ -445,17 +229,17 @@ void CampusSim::AdvanceShard(size_t index, TimeNs until) {
 // later than the barrier (the ShardLink invariant), so ScheduleAt never clamps.
 void CampusSim::DrainMailboxes() {
   for (size_t i = 0; i < cells_.size(); ++i) {
-    CellShard* cell = cells_[i].get();
-    ap::AccessPoint* ap = cell->ap.get();
+    CellShard* shard = cells_[i].get();
+    ap::AccessPoint* ap = &shard->cell->ap();
     for (const PacketRecord& r : core_->to_cell[i].pending()) {
-      net::Packet* raw = Materialize(r, &cell->pool).Detach();
-      cell->sim.ScheduleAt(r.arrival, [ap, raw] {
+      net::Packet* raw = Materialize(r, &shard->pool).Detach();
+      shard->sim.ScheduleAt(r.arrival, [ap, raw] {
         ap->EnqueueDownlink(net::PacketPtr::Adopt(raw));
       });
     }
     core_->to_cell[i].Clear();
   }
-  net::Demux* demux = core_->demux.get();
+  net::Demux* demux = &core_->demux;
   for (std::unique_ptr<CellShard>& cell : cells_) {
     for (const PacketRecord& r : cell->to_core.pending()) {
       net::Packet* raw = Materialize(r, &core_->pool).Detach();
@@ -484,8 +268,8 @@ void CampusSim::RunWindows(TimeNs until) {
     // then core) before the campus engine seals - the same determinism recipe as the
     // mailbox drain above. All on the coordinator thread; shard threads are parked.
     if (config_.cell.stats.window > 0) {
-      for (std::unique_ptr<CellShard>& cell : cells_) {
-        cell->stats.SealWindowsUpTo(window_end, &campus_stats_);
+      for (std::unique_ptr<CellShard>& shard : cells_) {
+        shard->cell->stats().SealWindowsUpTo(window_end, &campus_stats_);
       }
       core_->stats.SealWindowsUpTo(window_end, &campus_stats_);
       campus_stats_.SealWindowsUpTo(window_end);
@@ -502,15 +286,8 @@ scenario::CampusResults CampusSim::Run() {
   const scenario::ScenarioConfig& cc = config_.cell;
 
   RunWindows(cc.warmup);
-  for (std::unique_ptr<CellShard>& cell : cells_) {
-    for (const auto& [node, t] : cell->medium->airtime_meter().by_node()) {
-      cell->airtime_at_warmup[node] = t;
-    }
-    cell->busy_at_warmup = cell->medium->busy_time();
-  }
-  for (std::unique_ptr<FlowState>& fs : flows_) {
-    fs->engine.window_snapshot = fs->engine.delivered_bytes;
-    fs->remote_snapshot = fs->remote_delivered;
+  for (std::unique_ptr<CellShard>& shard : cells_) {
+    shard->cell->SnapshotWarmup();
   }
 
   RunWindows(cc.warmup + cc.duration);
@@ -518,8 +295,8 @@ scenario::CampusResults CampusSim::Run() {
   // End-of-run metrology flush: children first (fixed order), then the campus engine,
   // so the partial last window and - in unwindowed streaming mode - the whole-run
   // meters land in the campus tree exactly once.
-  for (std::unique_ptr<CellShard>& cell : cells_) {
-    cell->stats.FlushAll(&campus_stats_);
+  for (std::unique_ptr<CellShard>& shard : cells_) {
+    shard->cell->stats().FlushAll(&campus_stats_);
   }
   core_->stats.FlushAll(&campus_stats_);
   campus_stats_.FlushAll();
@@ -527,65 +304,14 @@ scenario::CampusResults CampusSim::Run() {
   scenario::CampusResults out;
   out.lookahead = lookahead_;
   out.windows = windows_;
-  const double window_sec = ToSeconds(cc.duration);
 
   out.cells.resize(cells_.size());
   for (size_t i = 0; i < cells_.size(); ++i) {
-    CellShard* cell = cells_[i].get();
+    CellShard* shard = cells_[i].get();
     scenario::Results& r = out.cells[i];
-
-    TimeNs total_airtime_delta = 0;
-    std::map<NodeId, TimeNs> airtime_delta;
-    for (const auto& [node, t] : cell->medium->airtime_meter().by_node()) {
-      const TimeNs before = cell->airtime_at_warmup.contains(node)
-                                ? cell->airtime_at_warmup[node]
-                                : 0;
-      airtime_delta[node] = t - before;
-      total_airtime_delta += t - before;
-    }
-    for (const auto& [node, dt] : airtime_delta) {
-      r.airtime_share[node] =
-          total_airtime_delta > 0
-              ? static_cast<double>(dt) / static_cast<double>(total_airtime_delta)
-              : 0.0;
-    }
-
-    double sum_task_sec = 0.0;
-    int64_t table1_tasks = 0;
-    for (std::unique_ptr<FlowState>& fs : flows_) {
-      if (fs->bss != i) {
-        continue;
-      }
-      // TCP delivery is always counted in the receiver's shard (opposite the engine);
-      // UDP delivery is counted by the engine itself (it owns the sink). Task/RTT
-      // meters read from the engine's shard, queue delay always from the cell.
-      const int64_t delta =
-          fs->tcp ? fs->remote_delivered - fs->remote_snapshot
-                  : fs->engine.delivered_bytes - fs->engine.window_snapshot;
-      const stats::StatsEngine& engine_stats =
-          fs->engine_in_cell ? cell->stats : core_->stats;
-      AccumulateFlowResult(fs->engine, delta, window_sec, engine_stats, cell->stats,
-                           &r, &sum_task_sec, &table1_tasks);
-    }
-    if (table1_tasks > 0) {
-      r.avg_task_time_sec = sum_task_sec / static_cast<double>(table1_tasks);
-    }
     // The per-cell sketches are the per-flow merges (retained flows only under
     // sampled retention); the per-cell series covers what this cell's shard observed.
-    r.rtt = scenario::LatencySummary::FromSketch(r.rtt_sketch);
-    r.ap_queue_delay = scenario::LatencySummary::FromSketch(r.ap_queue_delay_sketch);
-    r.task_latency = scenario::LatencySummary::FromSketch(r.task_latency_sketch);
-    r.rtt_series = cell->stats.series(stats::kRtt);
-    r.ap_queue_delay_series = cell->stats.series(stats::kQueueDelay);
-    r.task_latency_series = cell->stats.series(stats::kTaskLatency);
-    r.goodput_series = cell->stats.bytes_series();
-
-    r.utilization = static_cast<double>(cell->medium->busy_time() -
-                                        cell->busy_at_warmup) /
-                    cc.duration;
-    r.mac_collisions = cell->medium->collisions();
-    r.mac_exchanges = cell->medium->exchanges();
-    r.ap_drops = cell->ap->downlink_drops();
+    shard->cell->ReadOut(cc.duration, &r);
 
     out.aggregate_bps += r.aggregate_bps;
     out.tasks_completed += r.tasks_completed;
@@ -595,8 +321,8 @@ scenario::CampusResults CampusSim::Run() {
     out.ap_queue_delay_sketch.Merge(r.ap_queue_delay_sketch);
     out.task_latency_sketch.Merge(r.task_latency_sketch);
 
-    out.cross_shard_packets += cell->uplink->sent() + core_->downlinks[i]->sent();
-    out.backbone_drops += cell->uplink->drops() + core_->downlinks[i]->drops();
+    out.cross_shard_packets += shard->uplink->sent() + core_->downlinks[i]->sent();
+    out.backbone_drops += shard->uplink->drops() + core_->downlinks[i]->drops();
   }
   // Legacy exact mode: the campus-wide sketches are the per-cell merges above, byte-
   // identical to the pre-engine readout. Streaming modes: the campus engine's merge
@@ -618,8 +344,8 @@ scenario::CampusResults CampusSim::Run() {
 
 size_t CampusSim::MetrologyBytes() const {
   size_t total = campus_stats_.MemoryFootprintBytes();
-  for (const std::unique_ptr<CellShard>& cell : cells_) {
-    total += cell->stats.MemoryFootprintBytes();
+  for (const std::unique_ptr<CellShard>& shard : cells_) {
+    total += shard->cell->stats().MemoryFootprintBytes();
   }
   if (core_ != nullptr) {
     total += core_->stats.MemoryFootprintBytes();

@@ -64,12 +64,9 @@ class CampusSim {
  private:
   struct CellShard;
   struct CoreShard;
-  struct FlowState;
   class Pool;
 
   void Build();
-  void BuildCell(size_t index);
-  void BuildFlows();
   void RunWindows(TimeNs until);
   void AdvanceShard(size_t index, TimeNs until);
   void DrainMailboxes();
@@ -85,7 +82,6 @@ class CampusSim {
 
   std::vector<std::unique_ptr<CellShard>> cells_;
   std::unique_ptr<CoreShard> core_;
-  std::vector<std::unique_ptr<FlowState>> flows_;
   std::unique_ptr<Pool> pool_;
   // Root of the metrology merge tree: receives every shard's sealed windows at
   // barriers (coordinator thread only) and yields the campus-wide meters and series.

@@ -7,6 +7,7 @@
 // The clean tests (codec, wire, manifest, clean end-to-end) are safe under
 // sanitizers; the fault-driven tests (CampaignStressTest, resume) depend on
 // real-time heartbeat deadlines and are kept out of the sanitizer CTest regexes.
+#include <chrono>
 #include <cstdio>
 #include <string>
 #include <thread>
@@ -366,18 +367,6 @@ TEST(CampaignManifestTest, InvalidManifestIsRejectedUpFront) {
 // be byte-identical to the fault-free serial reference.
 // ---------------------------------------------------------------------------
 
-struct WorkerHandle {
-  std::thread thread;
-  WorkerStats stats;
-};
-
-WorkerHandle StartWorker(WorkerConfig config) {
-  WorkerHandle handle;
-  auto* stats = &handle.stats;
-  handle.thread = std::thread([config, stats] { *stats = RunWorker(config); });
-  return handle;
-}
-
 // Runs a campaign over a real unix socket with the given worker fleet; returns the
 // archive. The coordinator is destroyed before workers are joined so stragglers
 // observe EOF instead of blocking on a silent socket.
@@ -385,10 +374,10 @@ std::string RunCampaign(const Manifest& manifest, CoordinatorConfig config,
                         std::vector<WorkerConfig> worker_configs,
                         CoordinatorStats* stats_out = nullptr) {
   auto coordinator = std::make_unique<Coordinator>(manifest, config);
-  std::vector<WorkerHandle> workers;
+  std::vector<std::thread> workers;
   workers.reserve(worker_configs.size());
-  for (WorkerConfig& wc : worker_configs) {
-    workers.push_back(StartWorker(wc));
+  for (const WorkerConfig& wc : worker_configs) {
+    workers.emplace_back([wc] { RunWorker(wc); });
   }
   const bool finished = coordinator->Run();
   EXPECT_TRUE(finished);
@@ -397,8 +386,8 @@ std::string RunCampaign(const Manifest& manifest, CoordinatorConfig config,
   }
   std::string archive = finished ? coordinator->EncodeArchiveBytes() : "";
   coordinator.reset();
-  for (WorkerHandle& w : workers) {
-    w.thread.join();
+  for (std::thread& w : workers) {
+    w.join();
   }
   return archive;
 }
@@ -450,6 +439,27 @@ TEST(CampaignServiceTest, DistributedCleanRunMatchesSerial) {
   EXPECT_EQ(stats.completed, 60);
   EXPECT_EQ(stats.local_runs, 0);
   EXPECT_EQ(stats.rejected_payloads, 0);
+}
+
+// Workers left without a job back off for backoff_base_ms; the courtesy shutdown at
+// the end of the campaign must reach them mid-backoff, so every worker returns long
+// before a backoff this large could run out.
+TEST(CampaignServiceTest, IdleWorkersExitOnShutdownWithoutWaitingOutBackoff) {
+  const Manifest manifest = SmallManifest(2);
+  CoordinatorConfig config;
+  config.socket_path = TempPath("idle.sock");
+  config.local_fallback_after_ms = -1;
+  config.backoff_base_ms = 10000;
+  config.backoff_max_ms = 10000;
+  std::vector<WorkerConfig> fleet;
+  for (const char* name : {"w1", "w2", "w3", "w4", "w5"}) {
+    fleet.push_back(HonestWorker(config.socket_path, name));
+  }
+  const auto start = std::chrono::steady_clock::now();
+  const std::string archive = RunCampaign(manifest, config, fleet);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_EQ(archive, RunSerialArchive(manifest));
+  EXPECT_LT(elapsed, std::chrono::milliseconds(config.backoff_base_ms / 4));
 }
 
 // The headline acceptance test: a large campaign where workers crash mid-job, hang

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include "tbf/scenario/wlan.h"
 #include "tbf/shard/mailbox.h"
 #include "tbf/shard/shard_link.h"
 
@@ -190,6 +191,68 @@ TEST(ShardCampusTest, SingleBssMatchesAcrossShardThreads) {
     EXPECT_EQ(results.cells.size(), 1u);
     EXPECT_GT(results.cells[0].aggregate_bps, 0.0);
     EXPECT_EQ(results.cells[0].flows.size(), 3u);
+  }
+}
+
+TEST(ShardCampusTest, SingleBssMatchesWlan) {
+  // Differential oracle: Wlan and CampusSim build a BSS through the same scenario::Cell,
+  // so a one-BSS campus whose backbone matches the Wlan wired link (and whose cell 0
+  // draws from the Wlan's seed) must reproduce the Wlan's Results field for field.
+  // Only TCP flows take part: a downlink UDP source, and the engine of a downlink
+  // on/off or replay flow, runs in the core shard and draws from the core's own RNG
+  // stream, where a Wlan draws from the cell's - so those flows cannot match.
+  constexpr uint64_t kSeed = 11;
+  const phy::WifiRate kRates[] = {phy::WifiRate::k1Mbps, phy::WifiRate::k2Mbps,
+                                  phy::WifiRate::k5_5Mbps, phy::WifiRate::k11Mbps};
+  BssSpec bss;
+  for (NodeId id = 1; id <= 8; ++id) {
+    StationSpec station;
+    station.id = id;
+    station.rate = kRates[(id - 1) % 4];
+    bss.stations.push_back(station);
+    FlowSpec flow;
+    flow.client = id;
+    flow.direction = id % 2 == 0 ? Direction::kDownlink : Direction::kUplink;
+    if ((id - 1) / 2 % 2 == 1) {  // Stations 3, 4, 7, 8: finite task sequences.
+      flow.model = TrafficModel::kTaskSequence;
+      flow.task_bytes = 30000;
+      flow.task_count = 4;
+      flow.task_gap = Ms(50);
+    }
+    bss.flows.push_back(flow);
+  }
+
+  for (const QdiscKind qdisc :
+       {QdiscKind::kFifo, QdiscKind::kTbr, QdiscKind::kTbrFastEwma}) {
+    scenario::ScenarioConfig cell;
+    cell.qdisc = qdisc;
+    cell.seed = kSeed;
+    cell.warmup = Ms(500);
+    cell.duration = Sec(3);
+
+    scenario::Wlan wlan(cell);
+    for (const StationSpec& station : bss.stations) {
+      wlan.AddStation(station);
+    }
+    for (const FlowSpec& flow : bss.flows) {
+      wlan.AddFlow(flow);
+    }
+    const scenario::Results expected = wlan.Run();
+
+    CampusConfig config;
+    config.cell = cell;
+    config.cell.seed = kSeed - 1;  // Cell 0 seeds from seed + 1 == kSeed.
+    config.backbone_rate = cell.wired_rate;
+    config.backbone_delay = cell.wired_delay;
+    config.backbone_queue_limit = 1000;  // net::WiredLink's default.
+    CampusSim campus(config, 1);
+    campus.AddBss(bss);
+    const CampusResults results = campus.Run();
+
+    ASSERT_EQ(results.cells.size(), 1u);
+    EXPECT_EQ(results.cells[0], expected) << "qdisc=" << static_cast<int>(qdisc);
+    EXPECT_GT(expected.tasks_completed, 0) << "qdisc=" << static_cast<int>(qdisc);
+    EXPECT_GT(results.cross_shard_packets, 0) << "qdisc=" << static_cast<int>(qdisc);
   }
 }
 
